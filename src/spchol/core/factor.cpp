@@ -123,7 +123,67 @@ void validate(const SolveOptions& o) {
 
 namespace detail {
 
-thread_local FactorContext::BatchAccum* FactorContext::tl_batch_ = nullptr;
+PlanClock::PlanClock(const ExecutionPlan& plan, const SymbolicFactor& symb,
+                     double origin)
+    : origin_(origin),
+      pred_begin_(plan.nodes().size() + 1, 0),
+      fin_(plan.nodes().size(), origin),
+      host_(plan.nodes().size(), 0) {
+  const auto nodes = plan.nodes();
+  const auto edges = plan.edges();
+  const auto chain = plan.edge_chain();
+  std::vector<std::pair<std::size_t, std::size_t>> deps;
+  // Data-flow edges of the plan as they stand: COMPUTE -> its scatters,
+  // members -> AGGREGATE -> APPLY.
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    if (chain[e] == 0) deps.push_back(edges[e]);
+  }
+  // Chain edges only order the writes into one target (and stand in for
+  // its readiness through the chain tail); in their place every writer
+  // of a target feeds the target's compute directly. Aggregated targets
+  // are written by their APPLY nodes.
+  std::vector<char> aggregated(static_cast<std::size_t>(symb.num_supernodes()),
+                               0);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (nodes[i].kind != PlanNodeKind::kApply) continue;
+    aggregated[static_cast<std::size_t>(nodes[i].target)] = 1;
+    deps.emplace_back(i, plan.compute_node(nodes[i].target));
+  }
+  for (index_t c = 0; c < symb.num_supernodes(); ++c) {
+    index_t prev = -1;
+    for (const auto& b : symb.sn_blocks(c)) {
+      const index_t t = b.target_sn;
+      if (t == prev || aggregated[static_cast<std::size_t>(t)] != 0) continue;
+      prev = t;
+      const std::size_t writer = plan.scatter_node(c, t);
+      const std::size_t target = plan.compute_node(t);
+      if (writer != target) deps.emplace_back(writer, target);
+    }
+  }
+  for (const auto& [from, to] : deps) pred_begin_[to + 1]++;
+  for (std::size_t i = 1; i < pred_begin_.size(); ++i) {
+    pred_begin_[i] += pred_begin_[i - 1];
+  }
+  pred_.resize(deps.size());
+  std::vector<std::size_t> next(pred_begin_.begin(), pred_begin_.end() - 1);
+  for (const auto& [from, to] : deps) pred_[next[to]++] = from;
+}
+
+double PlanClock::ready(std::size_t node) const {
+  double t = origin_;
+  for (std::size_t k = pred_begin_[node]; k < pred_begin_[node + 1]; ++k) {
+    t = std::max(t, fin_[pred_[k]]);
+  }
+  return t;
+}
+
+double PlanClock::latest_host() const {
+  double t = origin_;
+  for (std::size_t i = 0; i < fin_.size(); ++i) {
+    if (host_[i] != 0) t = std::max(t, fin_[i]);
+  }
+  return t;
+}
 
 PlannedGraph build_planned_graph(const SymbolicFactor& symb,
                                  const FactorOptions& opts,

@@ -319,19 +319,31 @@ struct FactorContext {
   }
 
   /// RAII marker for a task in flight (feeds the dynamic kernel width).
+  /// While installed (on this thread) it also sums the modeled host
+  /// seconds the task charges — CPU BLAS, assembly, aggregation,
+  /// cross-device hops, closed batches — which is the task's own
+  /// duration on the PlanClock.
   class TaskScope {
    public:
-    explicit TaskScope(FactorContext& ctx) : ctx_(ctx) {
+    explicit TaskScope(FactorContext& ctx)
+        : ctx_(ctx), prev_(tl_task_seconds_) {
       ctx_.active_tasks_.fetch_add(1, std::memory_order_relaxed);
+      tl_task_seconds_ = &seconds_;
     }
     ~TaskScope() {
+      tl_task_seconds_ = prev_;
       ctx_.active_tasks_.fetch_sub(1, std::memory_order_relaxed);
     }
     TaskScope(const TaskScope&) = delete;
     TaskScope& operator=(const TaskScope&) = delete;
 
+    /// Modeled host seconds charged so far inside this scope.
+    double seconds() const noexcept { return seconds_; }
+
    private:
     FactorContext& ctx_;
+    double* prev_;
+    double seconds_ = 0.0;
   };
 
   /// Accumulator of the modeled CPU work issued inside one BATCH task.
@@ -387,6 +399,7 @@ struct FactorContext {
                          ? dev.model().cpu_kernel_seconds(flops, 1)
                          : dev.model().cpu_kernel_seconds_best(flops);
     if (scheduled) {
+      charge_task(t);
       std::lock_guard<std::mutex> lk(account_mu_);
       deferred_host_seconds_ += t;
       cpu_blas_seconds += t;
@@ -429,6 +442,7 @@ struct FactorContext {
     const double t = dev.model().assembly_seconds(
         entries, opts.assembly_threads);
     if (scheduled) {
+      charge_task(t);
       std::lock_guard<std::mutex> lk(account_mu_);
       deferred_host_seconds_ += t;
       assembly_seconds += t;
@@ -472,6 +486,7 @@ struct FactorContext {
             ? m.d2h_seconds(bytes) + m.h2d_seconds(bytes)
             : m.p2p_seconds(static_cast<int>(src), static_cast<int>(dst),
                             bytes);
+    charge_task(t);
     std::lock_guard<std::mutex> lk(account_mu_);
     deferred_host_seconds_ += t;
     cross_device_assembly_seconds += t;
@@ -517,6 +532,7 @@ struct FactorContext {
   void account_aggregation(double entries) {
     const double t = dev.model().aggregation_seconds(
         entries, opts.assembly_threads);
+    charge_task(t);
     std::lock_guard<std::mutex> lk(account_mu_);
     deferred_host_seconds_ += t;
     assembly_seconds += t;
@@ -561,6 +577,7 @@ struct FactorContext {
     }
     const double asm_t =
         dev.model().assembly_seconds(acc.entries, opts.assembly_threads);
+    charge_task(blas + asm_t);
     std::lock_guard<std::mutex> lk(account_mu_);
     deferred_host_seconds_ += blas + asm_t;
     cpu_blas_seconds += blas;
@@ -568,7 +585,13 @@ struct FactorContext {
     num_cpu_blas_calls += acc.calls;
   }
 
-  static thread_local BatchAccum* tl_batch_;
+  /// Adds `t` modeled seconds to the enclosing TaskScope, if any.
+  static void charge_task(double t) {
+    if (tl_task_seconds_ != nullptr) *tl_task_seconds_ += t;
+  }
+
+  static inline thread_local BatchAccum* tl_batch_ = nullptr;
+  static inline thread_local double* tl_task_seconds_ = nullptr;
 
   /// One (src,dst) pair's running cross-device traffic (ndev×ndev,
   /// row-major; guarded by account_mu_).
@@ -583,6 +606,69 @@ struct FactorContext {
   double deferred_host_seconds_ = 0.0;
   std::size_t agg_bytes_live_ = 0;
   std::atomic<std::size_t> active_tasks_{0};
+};
+
+/// Modeled finish time of every node of one scheduled run's plan: the
+/// rule that only tasks the plan's data flow leaves independent may
+/// overlap on the modeled timeline. A node's predecessors are its
+/// data-flow predecessors: the plan's non-chain edges, plus every writer
+/// of a target supernode for the target's compute (the per-target chain
+/// edges only fix the ORDER of those writes, for bitwise identity). A
+/// CPU node finishes at the latest finish of its predecessors plus its
+/// own modeled seconds (TaskScope::seconds()); a device node makes its
+/// first device operation Stream::wait on that same predecessor finish
+/// and finishes at its last device event. Times are device-timeline
+/// points; a root is ready at `origin`, the primary device's makespan
+/// when the run starts. Each entry is written once, by its node's task,
+/// and read only by successor tasks, which the scheduler starts after
+/// that task has completed.
+class PlanClock {
+ public:
+  PlanClock(const ExecutionPlan& plan, const SymbolicFactor& symb,
+            double origin);
+  /// Latest CPU-node finish (`origin` if none ran); call after the graph
+  /// has drained. Device-node finishes already sit on their streams.
+  double latest_host() const;
+
+  /// The scheduler task of CPU node `node`: runs `body()` inside a
+  /// TaskScope and finishes the node the seconds it charged after its
+  /// predecessors.
+  template <class Body>
+  TaskScheduler::TaskFn host_task(FactorContext& ctx, std::size_t node,
+                                  Body body) {
+    return [this, &ctx, node, body = std::move(body)](std::size_t) {
+      FactorContext::TaskScope scope(ctx);
+      const double start = ready(node);
+      body();
+      finish_host(node, start + scope.seconds());
+    };
+  }
+  /// The scheduler task of device node `node`: `body(after)` runs inside
+  /// a TaskScope, makes its first device operation wait on `after`, and
+  /// returns the time of its last device event.
+  template <class Body>
+  TaskScheduler::TaskFn device_task(FactorContext& ctx, std::size_t node,
+                                    Body body) {
+    return [this, &ctx, node, body = std::move(body)](std::size_t) {
+      FactorContext::TaskScope scope(ctx);
+      finish_device(node, body(gpu::Event{ready(node)}));
+    };
+  }
+
+ private:
+  /// Latest finish over `node`'s predecessors (`origin` for a root).
+  double ready(std::size_t node) const;
+  void finish_device(std::size_t node, double t) { fin_[node] = t; }
+  void finish_host(std::size_t node, double t) {
+    fin_[node] = t;
+    host_[node] = 1;
+  }
+
+  double origin_;
+  std::vector<std::size_t> pred_begin_;  // CSR offsets, nodes + 1
+  std::vector<std::size_t> pred_;        // predecessor node ids
+  std::vector<double> fin_;
+  std::vector<char> host_;               // 1 = finished as a CPU node
 };
 
 /// Factors the supernode panel on the CPU (DPOTRF on the diagonal block,

@@ -41,6 +41,14 @@
 // device-side stream waits — scheduled tasks never advance the shared
 // modeled host clock to a stream tail, so the post-drain fold of deferred
 // CPU-task time keeps makespan = max(host, stream tails), not their sum.
+// Only supernodes the plan's data flow leaves independent may overlap: a
+// PlanClock records every node's modeled finish (a CPU node: its
+// predecessors' latest finish plus its own modeled seconds; a device
+// node: its last device event), and a device node's first operation
+// waits on its predecessors' latest finish — so a GPU supernode's H2D
+// never starts before its children's update D2H and assembly have
+// finished. The latest CPU-node finish joins the makespan after the
+// drain.
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -94,6 +102,12 @@ struct RlGpuSlot {
     if (update_entries > 0) update = gpu::DeviceBuffer(dev, update_entries);
   }
 };
+
+/// Time of the last device event on either stream of a leased slot: the
+/// finish of the plan node that just ran on it.
+double last_event(const RlGpuSlot& slot) {
+  return std::max(slot.compute.tail(), slot.copy.tail());
+}
 
 /// The paper-§III device pipeline for one supernode, including the final
 /// CPU assembly. Callers guarantee exclusivity of the streams/buffers
@@ -199,11 +213,15 @@ void rl_gpu_compute(FactorContext& ctx, gpu::Device& dev, index_t dev_ord,
 /// while the modeled timeline block-distributes the POTRF trailing
 /// updates, the TRSM, and the SYRK across ALL devices of the registry
 /// via gpu::coop_panel_factor / coop_syrk_update_d2h (p2p panel
-/// broadcast, phase barriers, per-device D2H update slices).
-void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev,
-                         gpu::Stream& coop_s, index_t s, RlGpuSlot& slot,
-                         std::vector<double>& u,
-                         std::span<const gpu::CoopPeer> peers) {
+/// broadcast, phase barriers, per-device D2H update slices). Every
+/// stream of the mesh waits on `after` (the latest finish of the plan
+/// predecessors) before its first operation; returns the time of the
+/// last device event across the mesh.
+double rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev,
+                           gpu::Stream& coop_s, index_t s, RlGpuSlot& slot,
+                           std::vector<double>& u,
+                           std::span<const gpu::CoopPeer> peers,
+                           gpu::Event after) {
   const SymbolicFactor& symb = ctx.symb;
   const index_t w = symb.sn_width(s);
   const index_t r = symb.sn_nrows(s);
@@ -221,6 +239,8 @@ void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev,
   // mesh: the buffer-reuse hazard against the previous coop occupant's
   // panel download, and this occupant's own async panel download.
   coop_s.wait(slot.copy.record());
+  coop_s.wait(after);
+  for (const gpu::CoopPeer& p : peers) p.stream->wait(after);
   const std::size_t entries = static_cast<std::size_t>(r) * w;
   gpu::coop_copy_h2d(dev, coop_s, peers, slot.panel, 0, panel, entries);
   try {
@@ -235,6 +255,11 @@ void rl_gpu_compute_coop(FactorContext& ctx, gpu::Device& dev,
     gpu::coop_syrk_update_d2h(dev, coop_s, peers, below, w, slot.panel, w,
                               r, slot.update, u.data());
   }
+  double last = std::max(coop_s.tail(), slot.copy.tail());
+  for (const gpu::CoopPeer& p : peers) {
+    last = std::max({last, p.stream->tail(), p.copy->tail()});
+  }
+  return last;
 }
 
 /// Fused batched device pipeline for a BATCH of small, mutually
@@ -735,6 +760,12 @@ void run_rl_scheduled(FactorContext& ctx) {
     return d;
   };
 
+  // Every node records its modeled finish; a device node's first
+  // operation waits on its data-flow predecessors' latest finish, so
+  // only nodes the plan's data flow leaves independent overlap on the
+  // modeled timeline.
+  PlanClock clock(plan, symb, ctx.makespan0);
+
   // --- map plan nodes to scheduler tasks ---------------------------------
   std::vector<std::size_t> task_of(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -760,38 +791,42 @@ void run_rl_scheduled(FactorContext& ctx) {
           if (has_coop && n.device < 0) {
             task_of[i] = sched.add_task(
                 n.priority,
-                [&ctx, &coop_pool, &coop_streams, &coop_peers, &ubuf,
-                 s](std::size_t) {
-                  FactorContext::TaskScope scope(ctx);
-                  auto lease = coop_pool->acquire(
-                      [](const RlGpuSlot&) { return true; });
-                  rl_gpu_compute_coop(ctx, ctx.device(0), *coop_streams[0],
-                                      s, *lease, ubuf[s], coop_peers);
-                },
+                clock.device_task(
+                    ctx, i,
+                    [&ctx, &coop_pool, &coop_streams, &coop_peers, &ubuf,
+                     s](gpu::Event after) {
+                      auto lease = coop_pool->acquire(
+                          [](const RlGpuSlot&) { return true; });
+                      return rl_gpu_compute_coop(
+                          ctx, ctx.device(0), *coop_streams[0], s, *lease,
+                          ubuf[s], coop_peers, after);
+                    }),
                 coop_res, n.queue);
             break;
           }
           task_of[i] = sched.add_task(
               n.priority,
-              [&ctx, &pools, &ubuf, s, need_panel, need_update,
-               dord](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                auto lease = pools[dord]->acquire(
-                    [&](const RlGpuSlot& slot) {
-                      return slot.panel.size() >= need_panel &&
-                             slot.update.size() >= need_update;
-                    });
-                rl_gpu_compute(ctx,
-                               ctx.device(static_cast<index_t>(dord)),
-                               static_cast<index_t>(dord), s, *lease,
-                               ubuf[s]);
-              },
+              clock.device_task(
+                  ctx, i,
+                  [&ctx, &pools, &ubuf, s, need_panel, need_update,
+                   dord](gpu::Event after) {
+                    auto lease = pools[dord]->acquire(
+                        [&](const RlGpuSlot& slot) {
+                          return slot.panel.size() >= need_panel &&
+                                 slot.update.size() >= need_update;
+                        });
+                    lease->compute.wait(after);
+                    rl_gpu_compute(ctx,
+                                   ctx.device(static_cast<index_t>(dord)),
+                                   static_cast<index_t>(dord), s, *lease,
+                                   ubuf[s]);
+                    return last_event(*lease);
+                  }),
               gpu_res[dord], n.queue);
         } else {
           task_of[i] = sched.add_task(
               n.priority,
-              [&ctx, &ubuf, s, w, r, below](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
+              clock.host_task(ctx, i, [&ctx, &ubuf, s, w, r, below] {
                 cpu_factor_panel(ctx, s);
                 if (below > 0) {
                   const std::size_t ucount =
@@ -801,7 +836,7 @@ void run_rl_scheduled(FactorContext& ctx) {
                   ctx.cpu_syrk(below, w, ctx.sn_values(s) + w, r,
                                ubuf[s].data(), below);
                 }
-              },
+              }),
               TaskScheduler::kNoResource, n.queue);
         }
         break;
@@ -821,26 +856,25 @@ void run_rl_scheduled(FactorContext& ctx) {
           const std::vector<CrossHop> xhops = cross_slice(s, t);
           task_of[i] = sched.add_task(
               n.priority,
-              [&ctx, &ubuf, unref, account_hops, s, t,
-               xhops](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                account_hops(xhops);
-                ctx.account_assembly(
-                    rl_assemble_range(ctx, s, ubuf[s].data(), t, t));
-                unref(s);
-              },
+              clock.host_task(ctx, i,
+                              [&ctx, &ubuf, unref, account_hops, s, t,
+                               xhops] {
+                                account_hops(xhops);
+                                ctx.account_assembly(rl_assemble_range(
+                                    ctx, s, ubuf[s].data(), t, t));
+                                unref(s);
+                              }),
               TaskScheduler::kNoResource, n.queue);
           break;
         }
         const std::vector<CrossHop> xhops = cross_slice(s, -1);
         task_of[i] = sched.add_task(
             n.priority,
-            [&ctx, &ubuf, account_hops, s, xhops](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
+            clock.host_task(ctx, i, [&ctx, &ubuf, account_hops, s, xhops] {
               account_hops(xhops);
               ctx.account_assembly(rl_assemble(ctx, s, ubuf[s].data()));
               std::vector<double>().swap(ubuf[s]);  // free eagerly
-            },
+            }),
             TaskScheduler::kNoResource, n.queue);
         break;
       }
@@ -852,22 +886,25 @@ void run_rl_scheduled(FactorContext& ctx) {
           const std::size_t dord = ord(n.device);
           task_of[i] = sched.add_task(
               n.priority,
-              [&ctx, &pools, &ubuf, unref, first, last, need_panel,
-               need_update, dord, fan_both](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                auto lease = pools[dord]->acquire(
-                    [&](const RlGpuSlot& slot) {
-                      return slot.panel.size() >= need_panel &&
-                             slot.update.size() >= need_update;
-                    });
-                rl_gpu_batch(ctx,
-                             ctx.device(static_cast<index_t>(dord)),
-                             static_cast<index_t>(dord), first, last,
-                             *lease, fan_both ? &ubuf : nullptr);
-                if (fan_both) {
-                  for (index_t m = first; m <= last; ++m) unref(m);
-                }
-              },
+              clock.device_task(
+                  ctx, i,
+                  [&ctx, &pools, &ubuf, unref, first, last, need_panel,
+                   need_update, dord, fan_both](gpu::Event after) {
+                    auto lease = pools[dord]->acquire(
+                        [&](const RlGpuSlot& slot) {
+                          return slot.panel.size() >= need_panel &&
+                                 slot.update.size() >= need_update;
+                        });
+                    lease->compute.wait(after);
+                    rl_gpu_batch(ctx,
+                                 ctx.device(static_cast<index_t>(dord)),
+                                 static_cast<index_t>(dord), first, last,
+                                 *lease, fan_both ? &ubuf : nullptr);
+                    if (fan_both) {
+                      for (index_t m = first; m <= last; ++m) unref(m);
+                    }
+                    return last_event(*lease);
+                  }),
               gpu_res[dord], n.queue);
           break;
         }
@@ -883,8 +920,8 @@ void run_rl_scheduled(FactorContext& ctx) {
         // would have applied them.
         task_of[i] = sched.add_task(
             n.priority,
-            [&ctx, &ubuf, unref, first, last, fan_both](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
+            clock.host_task(ctx, i, [&ctx, &ubuf, unref, first, last,
+                                     fan_both] {
               FactorContext::BatchScope batch(ctx);
               const SymbolicFactor& sb = ctx.symb;
               std::vector<double> u;
@@ -923,7 +960,7 @@ void run_rl_scheduled(FactorContext& ctx) {
               if (fan_both) {
                 for (index_t s = first; s <= last; ++s) unref(s);
               }
-            },
+            }),
             TaskScheduler::kNoResource, n.queue);
         break;
       }
@@ -953,9 +990,8 @@ void run_rl_scheduled(FactorContext& ctx) {
         }
         task_of[i] = sched.add_task(
             n.priority,
-            [&ctx, &ubuf, unref, account_hops, first, last, t,
-             xhops](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
+            clock.host_task(ctx, i, [&ctx, &ubuf, unref, account_hops,
+                                     first, last, t, xhops] {
               account_hops(xhops);
               double entries = 0.0;
               for (index_t m = first; m <= last; ++m) {
@@ -966,7 +1002,7 @@ void run_rl_scheduled(FactorContext& ctx) {
                 unref(m);
               }
               ctx.account_assembly(entries);
-            },
+            }),
             TaskScheduler::kNoResource, n.queue);
         break;
       }
@@ -987,52 +1023,59 @@ void run_rl_scheduled(FactorContext& ctx) {
         gpu::Stream* astream =
             fd >= 0 ? agg_streams[static_cast<std::size_t>(fd)].get()
                     : nullptr;
+        const std::size_t bytes = static_cast<std::size_t>(total) *
+                                  (sizeof(offset_t) + sizeof(double));
+        auto gather = [&ctx, &plan, &ubuf, &slab_offs, &slab_vals, unref, g,
+                       t, total, bytes] {
+          slab_offs[g].resize(static_cast<std::size_t>(total));
+          slab_vals[g].resize(static_cast<std::size_t>(total));
+          ctx.note_agg_alloc(bytes);
+          offset_t k = 0;
+          for (const index_t m : plan.agg_members(g)) {
+            if (!ubuf[m].empty()) {
+              k += rl_gather_target(ctx, m, ubuf[m].data(), t,
+                                    slab_offs[g].data() + k,
+                                    slab_vals[g].data() + k);
+            }
+            unref(m);
+          }
+          SPCHOL_CHECK(k == total, "aggregation slab entry count mismatch");
+        };
+        if (astream == nullptr) {
+          task_of[i] = sched.add_task(
+              n.priority, clock.host_task(ctx, i, [&ctx, gather, total] {
+                gather();
+                ctx.account_aggregation(static_cast<double>(total));
+              }),
+              TaskScheduler::kNoResource, n.queue);
+          break;
+        }
+        // Every member's update buffer already lives on device fd: model
+        // the gather as one fused batched kernel plus one slab D2H on the
+        // device's aggregation stream. The host-side gather IS the
+        // numerics (the simulated device computes on host memory), so
+        // only the price moves to the device timeline.
         task_of[i] = sched.add_task(
             n.priority,
-            [&ctx, &plan, &ubuf, &slab_offs, &slab_vals, unref, g, t,
-             total, fd, astream](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
-              const std::size_t bytes =
-                  static_cast<std::size_t>(total) *
-                  (sizeof(offset_t) + sizeof(double));
-              slab_offs[g].resize(static_cast<std::size_t>(total));
-              slab_vals[g].resize(static_cast<std::size_t>(total));
-              ctx.note_agg_alloc(bytes);
-              offset_t k = 0;
-              for (const index_t m : plan.agg_members(g)) {
-                if (!ubuf[m].empty()) {
-                  k += rl_gather_target(ctx, m, ubuf[m].data(), t,
-                                        slab_offs[g].data() + k,
-                                        slab_vals[g].data() + k);
-                }
-                unref(m);
-              }
-              SPCHOL_CHECK(k == total,
-                           "aggregation slab entry count mismatch");
-              if (astream != nullptr) {
-                // Every member's update buffer already lives on device
-                // fd: model the gather as one fused batched kernel plus
-                // one slab D2H on the device's aggregation stream. The
-                // host-side gather above IS the numerics (the simulated
-                // device computes on host memory), so only the price
-                // moves to the device timeline.
-                gpu::Device& dv = ctx.device(fd);
-                const auto& pm = dv.model();
-                const double kt = pm.gpu_batched_kernel_seconds(
-                    static_cast<double>(total),
-                    plan.agg_members(g).size());
-                dv.enqueue(*astream, kt);
-                dv.note_kernel(kt);
-                const double dt =
-                    pm.d2h_seconds(static_cast<double>(bytes));
-                dv.enqueue(*astream, dt);
-                dv.note_d2h(bytes, dt);
-                ctx.count_fused_launch();
-                ctx.account_aggregation(0.0);  // count the buffer only
-              } else {
-                ctx.account_aggregation(static_cast<double>(total));
-              }
-            },
+            clock.device_task(
+                ctx, i,
+                [&ctx, &plan, gather, g, total, bytes, fd,
+                 astream](gpu::Event after) {
+                  gather();
+                  gpu::Device& dv = ctx.device(fd);
+                  const auto& pm = dv.model();
+                  const double kt = pm.gpu_batched_kernel_seconds(
+                      static_cast<double>(total), plan.agg_members(g).size());
+                  astream->wait(after);
+                  dv.enqueue(*astream, kt, static_cast<double>(total));
+                  dv.note_kernel(kt);
+                  const double dt = pm.d2h_seconds(static_cast<double>(bytes));
+                  dv.enqueue(*astream, dt);
+                  dv.note_d2h(bytes, dt);
+                  ctx.count_fused_launch();
+                  ctx.account_aggregation(0.0);  // count the buffer only
+                  return astream->tail();
+                }),
             TaskScheduler::kNoResource, n.queue);
         break;
       }
@@ -1122,9 +1165,8 @@ void run_rl_scheduled(FactorContext& ctx) {
         }
         task_of[i] = sched.add_task(
             n.priority,
-            [&ctx, &slab_offs, &slab_vals, account_hops, g, t, total,
-             xhops](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
+            clock.host_task(ctx, i, [&ctx, &slab_offs, &slab_vals,
+                                     account_hops, g, t, total, xhops] {
               account_hops(xhops);
               double* panel = ctx.sn_values(t);
               const offset_t* offs = slab_offs[g].data();
@@ -1140,7 +1182,7 @@ void run_rl_scheduled(FactorContext& ctx) {
               std::vector<offset_t>().swap(slab_offs[g]);
               std::vector<double>().swap(slab_vals[g]);
               ctx.note_agg_free(bytes);
-            },
+            }),
             TaskScheduler::kNoResource, n.queue);
         break;
       }
@@ -1204,6 +1246,7 @@ void run_rl_scheduled(FactorContext& ctx) {
   ctx.modeled_task_serial_seconds = sched.modeled_makespan(1);
   ctx.modeled_task_parallel_seconds = sched.modeled_makespan(ctx.workers);
   ctx.flush_deferred();
+  ctx.dev.wait_event({clock.latest_host()});
   for (std::size_t d = 0; d < ndev; ++d) {
     ctx.device(static_cast<index_t>(d)).synchronize();
   }

@@ -29,7 +29,9 @@
 // identical to kCpuSerial. GPU supernodes are fused plan nodes (device
 // pipeline + their own assembly, standing in the chains for every one of
 // their targets); each draws a stream-pair/buffer slot from a bounded
-// pool so independent GPU supernodes overlap on the device. BATCH nodes
+// pool so independent GPU supernodes overlap on the device, while its
+// first device operation waits on the modeled finish of its data-flow
+// predecessors (PlanClock), so dependent ones never do. BATCH nodes
 // run fused CPU sweeps over small sibling subtrees (compute + all direct
 // updates per member, ascending) — never on the device: the device
 // variants assemble block products through scratch, a different (though
@@ -546,6 +548,11 @@ void run_rlb_scheduled(FactorContext& ctx) {
     return hops;
   };
 
+  // Every node records its modeled finish; a fused GPU node's first
+  // device operation waits on its data-flow predecessors' latest finish
+  // (see PlanClock), exactly as in the RL executor.
+  PlanClock clock(plan, symb, ctx.makespan0);
+
   // --- map plan nodes to scheduler tasks ---------------------------------
   std::vector<std::size_t> task_of(nodes.size());
   for (std::size_t i = 0; i < nodes.size(); ++i) {
@@ -566,30 +573,30 @@ void run_rlb_scheduled(FactorContext& ctx) {
           const std::vector<CrossHop> xhops = cross_hops(s);
           task_of[i] = sched.add_task(
               n.priority,
-              [&ctx, s, &pools, batched, need_panel, need_update, dord,
-               xhops](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                auto lease = pools[dord]->acquire(
-                    [&](const RlbGpuState& slot) {
-                      return slot.panel_dev.size() >= need_panel &&
-                             slot.update_dev.size() >= need_update;
-                    });
-                for (const CrossHop& h : xhops) {
-                  ctx.account_cross_device(h.src, h.dst, h.entries);
-                }
-                rlb_gpu_supernode(ctx,
-                                  ctx.device(static_cast<index_t>(dord)),
-                                  static_cast<index_t>(dord), s, *lease,
-                                  batched);
-              },
+              clock.device_task(
+                  ctx, i,
+                  [&ctx, s, &pools, batched, need_panel, need_update, dord,
+                   xhops](gpu::Event after) {
+                    auto lease = pools[dord]->acquire(
+                        [&](const RlbGpuState& slot) {
+                          return slot.panel_dev.size() >= need_panel &&
+                                 slot.update_dev.size() >= need_update;
+                        });
+                    for (const CrossHop& h : xhops) {
+                      ctx.account_cross_device(h.src, h.dst, h.entries);
+                    }
+                    lease->compute.wait(after);
+                    rlb_gpu_supernode(
+                        ctx, ctx.device(static_cast<index_t>(dord)),
+                        static_cast<index_t>(dord), s, *lease, batched);
+                    return std::max(lease->compute.tail(),
+                                    lease->copy.tail());
+                  }),
               gpu_res[dord], n.queue);
         } else {
           task_of[i] = sched.add_task(
               n.priority,
-              [&ctx, s](std::size_t) {
-                FactorContext::TaskScope scope(ctx);
-                cpu_factor_panel(ctx, s);
-              },
+              clock.host_task(ctx, i, [&ctx, s] { cpu_factor_panel(ctx, s); }),
               TaskScheduler::kNoResource, n.queue);
         }
         break;
@@ -598,11 +605,9 @@ void run_rlb_scheduled(FactorContext& ctx) {
         const index_t s = n.sn;
         const index_t target = n.target;
         task_of[i] = sched.add_task(
-            n.priority,
-            [&ctx, s, target](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
+            n.priority, clock.host_task(ctx, i, [&ctx, s, target] {
               rlb_cpu_updates_target(ctx, s, target);
-            },
+            }),
             TaskScheduler::kNoResource, n.queue);
         break;
       }
@@ -614,15 +619,13 @@ void run_rlb_scheduled(FactorContext& ctx) {
         const index_t first = n.batch_first;
         const index_t last = n.batch_last;
         task_of[i] = sched.add_task(
-            n.priority,
-            [&ctx, first, last](std::size_t) {
-              FactorContext::TaskScope scope(ctx);
+            n.priority, clock.host_task(ctx, i, [&ctx, first, last] {
               FactorContext::BatchScope batch(ctx);
               for (index_t s = first; s <= last; ++s) {
                 cpu_factor_panel(ctx, s);
                 rlb_cpu_updates(ctx, s);
               }
-            },
+            }),
             TaskScheduler::kNoResource, n.queue);
         break;
       }
@@ -654,6 +657,7 @@ void run_rlb_scheduled(FactorContext& ctx) {
   ctx.modeled_task_serial_seconds = sched.modeled_makespan(1);
   ctx.modeled_task_parallel_seconds = sched.modeled_makespan(ctx.workers);
   ctx.flush_deferred();
+  ctx.dev.wait_event({clock.latest_host()});
   for (std::size_t d = 0; d < ndev; ++d) {
     ctx.device(static_cast<index_t>(d)).synchronize();
   }

@@ -13,7 +13,7 @@ namespace {
 void account_kernel(Device& dev, Stream& s, double flops) {
   const double dur = dev.model().gpu_kernel_seconds(flops);
   dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
+  dev.enqueue(s, dur, flops);
   dev.note_kernel(dur);
 }
 
@@ -119,7 +119,7 @@ void batched_panel_factor(Device& dev, Stream& s,
   const double dur =
       dev.model().gpu_batched_kernel_seconds(flops, panels.size());
   dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
+  dev.enqueue(s, dur, flops);
   dev.note_kernel(dur);
 }
 
@@ -140,7 +140,7 @@ void batched_syrk_update(Device& dev, Stream& s,
   }
   const double dur = dev.model().gpu_batched_kernel_seconds(flops, members);
   dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
+  dev.enqueue(s, dur, flops);
   dev.note_kernel(dur);
 }
 
@@ -149,7 +149,7 @@ namespace {
 void account_solve_kernel(Device& dev, Stream& s, double flops) {
   const double dur = dev.model().gpu_solve_kernel_seconds(flops);
   dev.advance_host(dev.model().issue_overhead);
-  dev.enqueue(s, dur);
+  dev.enqueue(s, dur, flops);
   dev.note_kernel(dur);
 }
 

@@ -6,10 +6,10 @@
 namespace spchol::gpu {
 
 Device::Device(DeviceConfig cfg) : cfg_(cfg) {
-  compute_threads_ = cfg_.compute_threads == 0
-                         ? std::max<std::size_t>(
-                               1, std::thread::hardware_concurrency())
-                         : cfg_.compute_threads;
+  if (cfg_.compute_threads == 0) {
+    cfg_.compute_threads =
+        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  }
 }
 
 void Device::mem_acquire(std::size_t bytes) {
@@ -56,10 +56,15 @@ double Device::device_tail_locked() const {
   return tail;
 }
 
-double Device::enqueue(Stream& s, double dur) {
+double Device::enqueue(Stream& s, double dur, double flops) {
   std::lock_guard<std::mutex> lk(mu_);
   const double start = std::max(s.tail_, host_time_);
-  const double end = start + dur;
+  double end = start + dur;
+  if (flops > 0.0) {
+    compute_free_ = std::max(compute_free_, start) +
+                    flops / (cfg_.model.gpu_peak_gflops * 1e9);
+    end = std::max(end, compute_free_);
+  }
   // Cross-stream overlap: the part of [start, end) during which some other
   // stream still has enqueued work.
   double others = retired_tail_;

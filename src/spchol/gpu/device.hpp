@@ -5,8 +5,15 @@
 // discrete-event timeline models when each operation would complete on the
 // paper's A100: every stream is a FIFO whose operations start at
 // max(stream tail, host issue time); synchronization advances the host
-// clock to the stream tail. This reproduces exactly the behaviours the
-// paper's offloading algorithms depend on:
+// clock to the stream tail. Streams share the device's arithmetic: every
+// kernel also draws flops / peak seconds from ONE compute-throughput
+// budget per device and cannot finish before that budget has paid for
+// it, so concurrent large kernels serialize at the PerfModel peak while
+// the launch and half-performance latency of small kernels still
+// overlap. Draws are granted in enqueue order. Transfers, and the
+// lockstep phases of the cooperative multi-device kernels (priced by
+// their own model in gpu/blas), do not draw. This reproduces exactly
+// the behaviours the paper's offloading algorithms depend on:
 //   * asynchronous D2H of the factored supernode overlapping the update
 //     kernel (§III),
 //   * per-transfer latency vs bandwidth trade-offs (RLB v1 vs v2, §IV.B),
@@ -74,11 +81,13 @@ struct Event {
 };
 
 /// One device execution queue. Operations enqueued on the same stream are
-/// serialized; different streams may overlap. A Stream registers with its
-/// device for the duration of its lifetime (and deregisters on
-/// destruction), so streams may safely be shorter-lived than the device —
-/// e.g. pooled per-task stream pairs. Pinned in memory: neither copyable
-/// nor movable (the device holds its address while registered).
+/// serialized; different streams may overlap in time, but their kernels
+/// share the device's compute-throughput budget (see Device::enqueue). A
+/// Stream registers with its device for the duration of its lifetime (and
+/// deregisters on destruction), so streams may safely be shorter-lived
+/// than the device — e.g. pooled per-task stream pairs. Pinned in memory:
+/// neither copyable nor movable (the device holds its address while
+/// registered).
 class Stream {
  public:
   explicit Stream(Device& dev);
@@ -154,13 +163,20 @@ class Device {
 
   /// Pool used to actually execute device kernels.
   ThreadPool& compute_pool();
-  std::size_t compute_threads() const noexcept { return compute_threads_; }
+  std::size_t compute_threads() const noexcept {
+    return cfg_.compute_threads;
+  }
 
   // --- operation enqueueing (used by copy_h2d/d2h and gpu::blas) ----------
   /// Reserves a slot on `s` of duration `dur`; returns the op start time.
-  /// Also accumulates DeviceStats::overlap_seconds against the other
-  /// streams' tails.
-  double enqueue(Stream& s, double dur);
+  /// A kernel passes its `flops`: it also draws
+  /// flops / (gpu_peak_gflops·1e9) seconds from the device's
+  /// compute-throughput budget, starting no earlier than the op itself,
+  /// and ends no earlier than that draw completes (transfers pass 0 and
+  /// draw nothing). Constant time under the device mutex; draws are
+  /// granted in enqueue order. Also accumulates
+  /// DeviceStats::overlap_seconds against the other streams' tails.
+  double enqueue(Stream& s, double dur, double flops = 0.0);
   /// Stats recording for the transfer/kernel wrappers (locked internally).
   void note_h2d(std::size_t bytes, double seconds);
   void note_d2h(std::size_t bytes, double seconds);
@@ -179,14 +195,14 @@ class Device {
   /// max(retired watermark, every live stream tail); caller holds mu_.
   double device_tail_locked() const;
 
-  DeviceConfig cfg_;
-  std::size_t compute_threads_;
+  DeviceConfig cfg_;  // compute_threads resolved (never 0)
 
   mutable std::mutex mu_;
   std::size_t mem_used_ = 0;
   std::size_t mem_peak_ = 0;
   double host_time_ = 0.0;
   double retired_tail_ = 0.0;      // max tail over destroyed streams
+  double compute_free_ = 0.0;      // end of the latest budget draw
   std::vector<Stream*> streams_;   // live registered streams
   DeviceStats stats_;
 };

@@ -281,6 +281,31 @@ TEST(Device, OverlapSecondsAccumulateAcrossStreams) {
   EXPECT_LE(dev.stats().overlap_seconds, dev.stats().h2d_seconds);
 }
 
+TEST(Device, ConcurrentKernelsShareComputeThroughput) {
+  // Two streams are one device: two saturating kernels issued together
+  // cannot both run at the peak rate.
+  Device dev;
+  const PerfModel& m = dev.model();
+  Stream s1(dev), s2(dev);
+  const double flops = 1e10;
+  const double start = dev.enqueue(s1, m.gpu_kernel_seconds(flops), flops);
+  dev.enqueue(s2, m.gpu_kernel_seconds(flops), flops);
+  EXPECT_GE(std::max(s1.tail(), s2.tail()) - start,
+            2 * flops / (m.gpu_peak_gflops * 1e9));
+}
+
+TEST(Device, SmallKernelsStillOverlapAcrossStreams) {
+  // Latency-bound kernels barely draw on the throughput budget, so their
+  // launch and half-performance latency still overlap across streams.
+  Device dev;
+  const PerfModel& m = dev.model();
+  Stream s1(dev), s2(dev);
+  const double flops = 1e4;
+  dev.enqueue(s1, m.gpu_kernel_seconds(flops), flops);
+  dev.enqueue(s2, m.gpu_kernel_seconds(flops), flops);
+  EXPECT_LT(dev.makespan(), 2 * m.gpu_kernel_seconds(flops));
+}
+
 namespace {
 
 /// Minimal pool slot: one device allocation.

@@ -11,6 +11,7 @@
 #include <set>
 #include <thread>
 
+#include "spchol/dense/kernels.hpp"
 #include "spchol/matrix/coo.hpp"
 #include "spchol/support/task_scheduler.hpp"
 #include "test_util.hpp"
@@ -338,6 +339,60 @@ TEST(ParallelFactor, MultiStreamOverlapsIndependentGpuSupernodes) {
   // Strictly more cross-stream overlap than the single pair's own
   // compute-vs-copy overlap.
   EXPECT_GT(four.gpu_overlap_seconds, one.gpu_overlap_seconds);
+}
+
+TEST(ParallelFactor, DependentGpuSupernodesDoNotOverlap) {
+  // A block-tridiagonal matrix under natural ordering: its supernodal
+  // elimination tree is a single path, so every GPU supernode depends on
+  // the one before it. However many stream pairs are free, the modeled
+  // makespan cannot beat the chain's critical path: per supernode the
+  // panel H2D, POTRF, TRSM, SYRK, the update D2H, and the assembly.
+  const index_t blocks = 8, bs = 40;
+  CooMatrix coo(blocks * bs, blocks * bs);
+  for (index_t b = 0; b < blocks; ++b) {
+    for (index_t i = 0; i < bs; ++i) {
+      const index_t row = b * bs + i;
+      coo.add(row, row, 4.0 * bs);
+      for (index_t j = 0; j < i; ++j) coo.add(row, b * bs + j, -1.0);
+      if (b > 0) {
+        for (index_t j = 0; j < bs; ++j) coo.add(row, (b - 1) * bs + j, -1.0);
+      }
+    }
+  }
+  const CscMatrix a = coo.to_csc();
+  SolverOptions opts;
+  opts.ordering_opts.method = OrderingMethod::kNatural;
+  opts.factor.method = Method::kRL;
+  opts.factor.exec = Execution::kGpuHybrid;
+  opts.factor.gpu_threshold_rl = 0;  // every supernode on the device
+  opts.factor.cpu_workers = 4;
+  opts.factor.gpu_streams = 4;
+  CholeskySolver solver(opts);
+  solver.factorize(a);
+  const FactorStats st = solver.stats();
+  const SymbolicFactor& symb = solver.symbolic();
+  const index_t ns = symb.num_supernodes();
+  ASSERT_GT(ns, 2);
+  for (index_t s = 0; s + 1 < ns; ++s) ASSERT_EQ(symb.sn_parent(s), s + 1);
+  ASSERT_EQ(st.supernodes_on_gpu, ns);
+  EXPECT_EQ(st.gpu_stream_pairs, 4);
+
+  const gpu::PerfModel& m = opts.factor.device.model;
+  double chain = 0.0;
+  for (index_t s = 0; s < ns; ++s) {
+    const index_t w = symb.sn_width(s);
+    const double below = static_cast<double>(symb.sn_below(s));
+    chain += m.h2d_seconds(static_cast<double>(symb.sn_entries(s)) *
+                           sizeof(double));
+    chain += m.gpu_kernel_seconds(dense::flops_potrf(w));
+    if (below == 0.0) continue;
+    chain += m.gpu_kernel_seconds(dense::flops_trsm(symb.sn_below(s), w));
+    chain += m.gpu_kernel_seconds(dense::flops_syrk(symb.sn_below(s), w));
+    chain += m.d2h_seconds(below * below * sizeof(double));
+    chain += m.assembly_seconds(0.5 * below * (below + 1.0),
+                                opts.factor.assembly_threads);
+  }
+  EXPECT_GE(st.modeled_seconds, chain);
 }
 
 TEST(ParallelFactor, HybridTinyDeviceReportsOutOfMemoryNotHang) {
